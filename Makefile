@@ -1,6 +1,6 @@
 # Convenience targets; each is a thin wrapper over cargo.
 
-.PHONY: build test lint bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance repro repro-quick
+.PHONY: build test lint perfbench perfbench-test bench bench-check bench-sched bench-defense bench-dos bench-fleet bench-fleet-mem bench-fleet-1m bench-scaleout check-conformance repro repro-quick
 
 build:
 	cargo build --release --workspace
@@ -13,6 +13,22 @@ lint:
 
 bench:
 	cargo bench -p h2priv-bench
+
+# The end-to-end benchmark (BENCHMARK.json's command) on one workload:
+# `make perfbench W=paper_attack SEED=1`. W is paper_attack, fleet_stream
+# or slow_dos; TRACE=1 adds the per-layer breakdown and writes spans to
+# .perfbench_trace/.
+W ?= paper_attack
+SEED ?= 1
+TRACE ?= 0
+perfbench:
+	cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload $(W) --seed $(SEED) --seconds 36 --trace $(TRACE)
+
+# The benchmark's own tests: drift_guard pins its rebuilt trial to
+# run_paper_trial + analyze_trial; exact_counts pins every count and the
+# digest across runs and worker counts.
+perfbench-test:
+	cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 bench-check:
 	sh scripts/bench_check.sh

@@ -7,7 +7,8 @@
 //!
 //! * [`WireTrace`]/[`ObservedPacket`] — the capture: header fields, sizes,
 //!   timings, encrypted payload octets; never key material.
-//! * [`StreamFollower`] — passive TCP reassembly (what `tshark` does).
+//! * [`StreamFollower`] — passive, copy-free TCP stream following (what
+//!   `tshark` does).
 //! * [`RecordExtractor`]/[`extract_records`] — keyless TLS record
 //!   recovery; [`app_data_records`] is the paper's
 //!   `ssl.record.content_type == 23` filter.

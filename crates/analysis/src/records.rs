@@ -1,6 +1,6 @@
 //! TLS record extraction from a captured trace.
 //!
-//! Combines [`StreamFollower`] reassembly with the keyless
+//! Combines [`StreamFollower`] stream following with the keyless
 //! [`RecordScanner`] to recover, for each direction, the sequence of record
 //! headers with arrival timestamps. The result is the paper's working
 //! dataset: its monitor counts GET requests with the filter
@@ -51,28 +51,28 @@ impl RecordExtractor {
 
     /// Feeds one captured packet; returns records completed by it.
     pub fn push(&mut self, packet: &ObservedPacket) -> Vec<RecordEvent> {
-        let segment = h2priv_tcp::TcpSegment {
-            seq: packet.seq,
-            ack: packet.ack,
-            flags: packet.flags,
-            window: 0,
-            payload: packet.payload.clone(),
-        };
-        let bytes = self.follower.push(&segment);
-        if bytes.is_empty() {
-            return Vec::new();
-        }
-        self.scanner
-            .push(&bytes)
-            .into_iter()
-            .map(|r| RecordEvent {
-                time: packet.time,
-                dir: packet.dir,
-                content_type: r.content_type,
-                wire_len: r.wire_len,
-                stream_offset: r.stream_offset,
-            })
-            .collect()
+        let mut out = Vec::new();
+        self.push_into(packet, &mut out);
+        out
+    }
+
+    /// Feeds one captured packet, appending the records it completes to
+    /// `out`. Only record headers are looked at; payload bytes are skipped
+    /// in place, never copied.
+    pub fn push_into(&mut self, packet: &ObservedPacket, out: &mut Vec<RecordEvent>) {
+        let scanner = &mut self.scanner;
+        self.follower
+            .follow(packet.seq, packet.flags, &packet.payload, |bytes| {
+                scanner.scan(bytes, |r| {
+                    out.push(RecordEvent {
+                        time: packet.time,
+                        dir: packet.dir,
+                        content_type: r.content_type,
+                        wire_len: r.wire_len,
+                        stream_offset: r.stream_offset,
+                    })
+                })
+            });
     }
 }
 
@@ -87,7 +87,7 @@ pub fn extract_records(trace: &WireTrace) -> Vec<RecordEvent> {
             Dir::LeftToRight => &mut c2s,
             Dir::RightToLeft => &mut s2c,
         };
-        out.extend(extractor.push(packet));
+        extractor.push_into(packet, &mut out);
     }
     out
 }

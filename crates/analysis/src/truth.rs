@@ -122,77 +122,18 @@ impl GroundTruth {
     /// Both reduce to 0 exactly when the instance was transmitted alone and
     /// unbroken — the condition the paper's attack engineers.
     pub fn degree_of_instance(&self, instance: StreamId) -> Option<f64> {
-        let mut mine: Vec<&ObjectRange> = self
-            .ranges
-            .iter()
-            .filter(|r| r.instance == instance)
-            .collect();
-        if mine.is_empty() {
-            return None;
-        }
-        mine.sort_unstable_by_key(|r| r.start);
-        let total: u64 = mine.iter().map(|r| r.end - r.start).sum();
-
-        // Span overlap.
-        let mut spans: FxHashMap<StreamId, (u64, u64)> = FxHashMap::default();
-        for r in &self.ranges {
-            if r.instance == instance {
-                continue;
-            }
-            let e = spans.entry(r.instance).or_insert((r.start, r.end));
-            e.0 = e.0.min(r.start);
-            e.1 = e.1.max(r.end);
-        }
-        let merged = merge_intervals(spans.values().copied().collect());
-        let in_spans: u64 = mine
-            .iter()
-            .map(|r| overlap_with(r.start, r.end, &merged))
-            .sum();
-        let span_degree = in_spans as f64 / total as f64;
-
-        // Run breakage: group consecutive own ranges not separated by
-        // foreign bytes; keep the largest group.
-        let foreign: Vec<(u64, u64)> = {
-            let mut v: Vec<(u64, u64)> = self
-                .ranges
-                .iter()
-                .filter(|r| r.instance != instance)
-                .map(|r| (r.start, r.end))
-                .collect();
-            v.sort_unstable();
-            v
-        };
-        let mut largest_run = 0u64;
-        let mut current_run = 0u64;
-        let mut prev_end: Option<u64> = None;
-        for r in &mine {
-            let broken = match prev_end {
-                None => false,
-                Some(pe) => foreign
-                    .iter()
-                    .any(|&(fs, fe)| fe > pe && fs < r.start && fe > fs),
-            };
-            if broken {
-                largest_run = largest_run.max(current_run);
-                current_run = 0;
-            }
-            current_run += r.end - r.start;
-            prev_end = Some(r.end);
-        }
-        largest_run = largest_run.max(current_run);
-        let run_degree = 1.0 - largest_run as f64 / total as f64;
-
-        Some(span_degree.max(run_degree))
+        Layout::of(&self.ranges).degree(instance)
     }
 
     /// The smallest degree of multiplexing across *complete* instances of
     /// `object` — the paper counts a trial "not multiplexed" when some
     /// fully-transmitted copy of the object was interleaving-free.
     pub fn min_degree_for(&self, object: ObjectId) -> Option<f64> {
+        let layout = Layout::of(&self.ranges);
         self.instances_of(object)
             .into_iter()
             .filter(|&i| self.is_complete(i))
-            .filter_map(|i| self.degree_of_instance(i))
+            .filter_map(|i| layout.degree(i))
             .min_by(|a, b| a.partial_cmp(b).expect("degrees are finite"))
     }
 
@@ -202,6 +143,68 @@ impl GroundTruth {
             .into_iter()
             .find(|&i| self.is_complete(i))
             .and_then(|i| self.degree_of_instance(i))
+    }
+}
+
+/// The ranges in start order and every instance's transmission span:
+/// built once per query, then each instance is scored in one pass.
+struct Layout<'a> {
+    by_start: Vec<&'a ObjectRange>,
+    spans: FxHashMap<StreamId, (u64, u64)>,
+}
+
+impl<'a> Layout<'a> {
+    fn of(ranges: &'a [ObjectRange]) -> Self {
+        let mut by_start: Vec<&ObjectRange> = ranges.iter().collect();
+        // Stable, and linear on the host's ranges, which arrive in order.
+        by_start.sort_by_key(|r| r.start);
+        let mut spans: FxHashMap<StreamId, (u64, u64)> = FxHashMap::default();
+        for r in ranges {
+            let e = spans.entry(r.instance).or_insert((r.start, r.end));
+            e.0 = e.0.min(r.start);
+            e.1 = e.1.max(r.end);
+        }
+        Layout { by_start, spans }
+    }
+
+    /// See [`GroundTruth::degree_of_instance`].
+    fn degree(&self, instance: StreamId) -> Option<f64> {
+        let foreign_spans = merge_intervals(
+            self.spans
+                .iter()
+                .filter(|&(&i, _)| i != instance)
+                .map(|(_, &span)| span)
+                .collect(),
+        );
+        let (mut total, mut in_spans) = (0u64, 0u64);
+        let (mut largest_run, mut current_run) = (0u64, 0u64);
+        let mut prev_end: Option<u64> = None;
+        // The latest end among foreign ranges starting before the current
+        // own range: the run breaks if one ends past the previous own range.
+        let mut foreign_end: Option<u64> = None;
+        let mut seen = 0;
+        for r in self.by_start.iter().filter(|r| r.instance == instance) {
+            while let Some(f) = self.by_start.get(seen).filter(|f| f.start < r.start) {
+                if f.instance != instance {
+                    foreign_end = foreign_end.max(Some(f.end));
+                }
+                seen += 1;
+            }
+            if prev_end.is_some_and(|pe| foreign_end.is_some_and(|fe| fe > pe)) {
+                largest_run = largest_run.max(current_run);
+                current_run = 0;
+            }
+            current_run += r.end - r.start;
+            total += r.end - r.start;
+            in_spans += overlap_with(r.start, r.end, &foreign_spans);
+            prev_end = Some(r.end);
+        }
+        if total == 0 {
+            return None;
+        }
+        let span_degree = in_spans as f64 / total as f64;
+        let run_degree = 1.0 - largest_run.max(current_run) as f64 / total as f64;
+        Some(span_degree.max(run_degree))
     }
 }
 
@@ -341,6 +344,18 @@ mod tests {
         // Zero-length ranges are ignored.
         gt.add_range(50, 50, B, S3);
         assert_eq!(gt.object_of(S3), None);
+    }
+
+    #[test]
+    fn foreign_range_starting_with_own_does_not_break_run() {
+        // B's one byte starts where A's second range does, so it is not
+        // inserted *between* A's ranges: A keeps one 20-byte run, and only
+        // the byte inside B's span counts against it.
+        let mut gt = GroundTruth::new();
+        gt.add_range(0, 10, A, S1);
+        gt.add_range(20, 21, B, S3);
+        gt.add_range(20, 30, A, S1);
+        assert_eq!(gt.degree_of_instance(S1), Some(1.0 / 20.0));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Property-based tests of the analysis crate: the degree-of-multiplexing
-//! metric's invariants and the observer pipeline's totality.
+//! metric's invariants and burst segmentation. The stream follower's
+//! property lives in `observer_differential.rs`, which runs offline.
 //!
 //! Gated behind the `proptests` feature: the external `proptest` crate is
 //! unavailable in offline builds. Re-add the dev-dependency and enable the
 //! feature to run these.
 #![cfg(feature = "proptests")]
 
-use h2priv_analysis::{segment_bursts, GroundTruth, StreamFollower};
+use h2priv_analysis::{segment_bursts, GroundTruth};
 use h2priv_http2::StreamId;
 use h2priv_netsim::{SimDuration, SimTime};
-use h2priv_tcp::{Seq, TcpFlags, TcpSegment};
 use h2priv_web::ObjectId;
 use proptest::prelude::*;
 
@@ -116,44 +116,5 @@ proptest! {
         for w in bursts.windows(2) {
             prop_assert!(w[1].start.saturating_since(w[0].end) >= SimDuration::from_millis(min_gap_ms));
         }
-    }
-
-    /// The passive follower reproduces the endpoint's byte stream for any
-    /// segmentation and delivery order of a sent stream.
-    #[test]
-    fn follower_matches_endpoint_stream(
-        len in 1usize..20_000,
-        mss in 100usize..1_460,
-        swaps in proptest::collection::vec((any::<prop::sample::Index>(), any::<prop::sample::Index>()), 0..10),
-    ) {
-        let data: Vec<u8> = (0..len).map(|i| (i % 256) as u8).collect();
-        let mut segments: Vec<TcpSegment> = data
-            .chunks(mss)
-            .enumerate()
-            .map(|(i, c)| TcpSegment {
-                seq: Seq(1_001 + (i * mss) as u32),
-                ack: Seq(0),
-                flags: TcpFlags::ACK,
-                window: 0,
-                payload: c.to_vec().into(),
-            })
-            .collect();
-        let n = segments.len();
-        for (a, b) in &swaps {
-            segments.swap(a.index(n), b.index(n));
-        }
-        let mut follower = StreamFollower::new();
-        follower.push(&TcpSegment {
-            seq: Seq(1_000),
-            ack: Seq(0),
-            flags: TcpFlags::SYN,
-            window: 0,
-            payload: h2priv_bytes::SharedBytes::new(),
-        });
-        let mut stream = Vec::new();
-        for seg in &segments {
-            stream.extend(follower.push(seg));
-        }
-        prop_assert_eq!(stream, data);
     }
 }

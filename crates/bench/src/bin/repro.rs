@@ -8,8 +8,10 @@
 //!       [fleet] [scaleout]
 //! ```
 //!
-//! With no exhibit names, everything runs. `--quick` uses 25 trials per
-//! point instead of the paper's 100; `--trials N` overrides both. Trials
+//! With no exhibit names, everything runs. An unknown exhibit or flag, a
+//! missing flag value or a non-numeric count exits 2 with the usage.
+//! `--quick` uses 25 trials per point instead of the paper's 100;
+//! `--trials N` overrides both. Trials
 //! fan out over `--threads N` workers (default: available parallelism);
 //! any thread count produces byte-identical stdout, because results are
 //! collected in seed order. Per-exhibit wall-clock and events/sec lines go
@@ -127,53 +129,130 @@ impl ToJson for ExhibitTiming {
     }
 }
 
-fn parse_flag_value(args: &[String], flag: &str) -> Option<u64> {
-    parse_flag_str(args, flag).and_then(|v| v.parse().ok())
+/// Exhibit names, in run order (`scaleout` runs only when named).
+const EXHIBITS: [&str; 10] = [
+    "fig1",
+    "table1",
+    "fig5",
+    "ivd",
+    "table2",
+    "ablations",
+    "defend",
+    "dos",
+    "fleet",
+    "scaleout",
+];
+
+const USAGE: &str = "usage: repro [--quick] [--json] [--check] [--progress] [--bench-json[=PATH]]
+             [--threads N] [--trials N] [--population N] [--shards N]
+             [--cohort N] [--spread SECS] [--defense NAME] [EXHIBIT...]";
+
+/// The parsed command line. Numeric flags are `None` when not given.
+#[derive(Debug, Default)]
+struct Cli {
+    quick: bool,
+    json: bool,
+    check: bool,
+    progress: bool,
+    bench_json: Option<String>,
+    threads: Option<u64>,
+    trials: Option<u64>,
+    population: Option<u64>,
+    shards: Option<u64>,
+    cohort: Option<u64>,
+    spread: Option<u64>,
+    defense: Option<String>,
+    exhibits: Vec<String>,
 }
 
-fn parse_flag_str(args: &[String], flag: &str) -> Option<String> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next().cloned();
+impl Cli {
+    /// Parses the arguments; a flag's value may follow it or be attached
+    /// with `=`. Unknown flags and exhibits, missing values and
+    /// non-numeric counts are errors.
+    fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if !arg.starts_with("--") {
+                if !EXHIBITS.contains(&arg.as_str()) {
+                    return Err(format!("unknown exhibit {arg:?}"));
+                }
+                cli.exhibits.push(arg.clone());
+                continue;
+            }
+            let (flag, attached) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value.to_owned())),
+                None => (arg.as_str(), None),
+            };
+            let switch = match flag {
+                "--quick" => Some(&mut cli.quick),
+                "--json" => Some(&mut cli.json),
+                "--check" => Some(&mut cli.check),
+                "--progress" => Some(&mut cli.progress),
+                _ => None,
+            };
+            if let (Some(on), None) = (switch, &attached) {
+                *on = true;
+                continue;
+            }
+            if flag == "--bench-json" {
+                cli.bench_json = Some(attached.unwrap_or_else(|| "BENCH_repro.json".to_owned()));
+                continue;
+            }
+            let mut value = || {
+                attached
+                    .clone()
+                    .or_else(|| it.next().cloned())
+                    .ok_or(format!("{flag} needs a value"))
+            };
+            if flag == "--defense" {
+                cli.defense = Some(value()?);
+                continue;
+            }
+            let count = match flag {
+                "--threads" => &mut cli.threads,
+                "--trials" => &mut cli.trials,
+                "--population" => &mut cli.population,
+                "--shards" => &mut cli.shards,
+                "--cohort" => &mut cli.cohort,
+                "--spread" => &mut cli.spread,
+                _ => return Err(format!("unknown flag {arg:?}")),
+            };
+            let value = value()?;
+            let n = value
+                .parse()
+                .map_err(|_| format!("{flag} needs a whole number, got {value:?}"))?;
+            *count = Some(n);
         }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_owned());
-        }
+        Ok(cli)
     }
-    None
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let check = args.iter().any(|a| a == "--check");
-    runner::set_conformance(check);
-    let bench_json: Option<String> = args.iter().find_map(|a| {
-        if a == "--bench-json" {
-            Some("BENCH_repro.json".to_owned())
-        } else {
-            a.strip_prefix("--bench-json=").map(str::to_owned)
-        }
+    let cli = Cli::parse(&args).unwrap_or_else(|err| {
+        eprintln!("repro: {err}\n{USAGE}\nexhibits: {}", EXHIBITS.join(" "));
+        std::process::exit(2);
     });
-    if let Some(threads) = parse_flag_value(&args, "--threads") {
+    let (quick, json, check) = (cli.quick, cli.json, cli.check);
+    runner::set_conformance(check);
+    let bench_json = cli.bench_json;
+    if let Some(threads) = cli.threads {
         runner::set_threads(threads as usize);
     }
-    let trials = parse_flag_value(&args, "--trials").unwrap_or(if quick {
+    let trials = cli.trials.unwrap_or(if quick {
         common::QUICK_TRIALS
     } else {
         common::TRIALS
     });
-    let population =
-        parse_flag_value(&args, "--population").unwrap_or(if quick { 128 } else { 1_000 }) as u32;
-    let shards = parse_flag_value(&args, "--shards").unwrap_or(8).max(1) as u32;
+    let population = cli.population.unwrap_or(if quick { 128 } else { 1_000 }) as u32;
+    let shards = cli.shards.unwrap_or(8).max(1) as u32;
     let tuning = fleet::FleetTuning {
-        cohort: parse_flag_value(&args, "--cohort").map(|c| c.max(1) as u32),
-        spread_secs: parse_flag_value(&args, "--spread"),
-        progress: args.iter().any(|a| a == "--progress"),
+        cohort: cli.cohort.map(|c| c.max(1) as u32),
+        spread_secs: cli.spread,
+        progress: cli.progress,
     };
-    let defense = match parse_flag_str(&args, "--defense") {
+    let defense = match cli.defense {
         Some(name) => match DefenseSpec::parse(&name) {
             Some(spec) => Some(spec),
             None => {
@@ -184,26 +263,7 @@ fn main() {
         },
         None => None,
     };
-    let wanted: Vec<&str> = {
-        // Skip flags and their detached values.
-        let mut names = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            if a == "--threads"
-                || a == "--trials"
-                || a == "--population"
-                || a == "--shards"
-                || a == "--defense"
-                || a == "--cohort"
-                || a == "--spread"
-            {
-                it.next();
-            } else if !a.starts_with("--") {
-                names.push(a.as_str());
-            }
-        }
-        names
-    };
+    let wanted: Vec<&str> = cli.exhibits.iter().map(String::as_str).collect();
     let want = |name: &str| wanted.is_empty() || wanted.contains(&name);
 
     let threads = runner::threads();
@@ -381,7 +441,7 @@ fn main() {
     // overriding --threads point by point, purely to measure parallel
     // efficiency.
     if wanted.contains(&"scaleout") {
-        let restore = parse_flag_value(&args, "--threads").unwrap_or(0) as usize;
+        let restore = cli.threads.unwrap_or(0) as usize;
         let points = fleet::scaleout(
             population,
             shards,

@@ -216,7 +216,7 @@ impl Middlebox<TcpSegment> for Adversary {
             self.controller.set_jitter(self.config.initial_spacing);
             self.phase_log.push((now, AttackPhase::Observing));
         }
-        // Observe (both directions feed the monitor).
+        // Observe (the monitor follows only the client→server stream).
         let observed = ObservedPacket::capture(now, ctx.dir, &packet.payload);
         let insight = self.monitor.observe(&observed);
 

@@ -5,9 +5,9 @@
 //! on-path gateway that defeats the privacy attributed to HTTP/2
 //! multiplexing by *serializing* the server's object transmissions:
 //!
-//! 1. [`TrafficMonitor`] (the paper's `tshark`) passively reassembles the
-//!    TCP streams, parses TLS record headers, and counts GET requests via
-//!    the `content_type == 23` filter.
+//! 1. [`TrafficMonitor`] (the paper's `tshark`) passively follows the
+//!    client→server TCP stream, parses TLS record headers (never payload),
+//!    and counts GET requests via the `content_type == 23` filter.
 //! 2. [`NetworkController`] (the paper's `tc`/bash scripts) spaces
 //!    GET-carrying packets (§IV-B jitter), caps bandwidth (§IV-C), and
 //!    drops server→client application packets to force an HTTP/2

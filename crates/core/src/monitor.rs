@@ -1,13 +1,13 @@
 //! The traffic monitor — the paper's `tshark` component (§V: "the traffic
 //! monitor, which was implemented using tshark").
 //!
-//! Runs *online* inside the adversary middlebox: it passively reassembles
-//! both TCP directions, parses TLS record headers without keys, and counts
-//! client→server GET requests using the paper's filter
-//! (`ssl.record.content_type == 23`) plus a size heuristic that separates
-//! request header blocks from small control frames (WINDOW_UPDATE /
-//! SETTINGS-ack records are ≤ ~50 wire bytes; HPACK-compressed GETs are
-//! larger).
+//! Runs *online* inside the adversary middlebox: it passively follows the
+//! client→server TCP stream (the only direction GETs travel), parses TLS
+//! record headers without keys, and counts GET requests using the paper's
+//! filter (`ssl.record.content_type == 23`) plus a size heuristic that
+//! separates request header blocks from small control frames
+//! (WINDOW_UPDATE / SETTINGS-ack records are ≤ ~50 wire bytes;
+//! HPACK-compressed GETs are larger).
 
 use h2priv_analysis::{ObservedPacket, RecordEvent, RecordExtractor};
 use h2priv_netsim::{Dir, SimTime};
@@ -42,9 +42,8 @@ impl Default for MonitorConfig {
 /// What the monitor concluded about one packet.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PacketInsight {
-    /// Completed records the packet revealed.
-    pub records: Vec<RecordEvent>,
-    /// GET requests among them (1-based indices assigned in order).
+    /// GET requests the packet completed (1-based indices assigned in
+    /// order).
     pub new_gets: Vec<u64>,
 }
 
@@ -53,7 +52,8 @@ pub struct PacketInsight {
 pub struct TrafficMonitor {
     config: MonitorConfig,
     c2s: RecordExtractor,
-    s2c: RecordExtractor,
+    /// The records the current packet completed (reused across packets).
+    records: Vec<RecordEvent>,
     gets_seen: u64,
     skipped: usize,
     get_times: Vec<SimTime>,
@@ -78,17 +78,17 @@ impl TrafficMonitor {
         self.get_times.get((n as usize).checked_sub(1)?).copied()
     }
 
-    /// Feeds one packet; returns what it revealed.
+    /// Feeds one packet; returns what it revealed. Server→client packets
+    /// reveal nothing: no GET travels that way.
     pub fn observe(&mut self, packet: &ObservedPacket) -> PacketInsight {
-        let extractor = match packet.dir {
-            Dir::LeftToRight => &mut self.c2s,
-            Dir::RightToLeft => &mut self.s2c,
-        };
-        let records = extractor.push(packet);
+        if packet.dir != Dir::LeftToRight {
+            return PacketInsight::default();
+        }
         let mut new_gets = Vec::new();
-        for record in &records {
-            if record.dir == Dir::LeftToRight
-                && record.content_type == ContentType::ApplicationData
+        self.records.clear();
+        self.c2s.push_into(packet, &mut self.records);
+        for record in &self.records {
+            if record.content_type == ContentType::ApplicationData
                 && record.wire_len >= self.config.get_min_wire_len
             {
                 if self.skipped < self.config.skip_initial {
@@ -106,7 +106,7 @@ impl TrafficMonitor {
                 new_gets.push(self.gets_seen);
             }
         }
-        PacketInsight { records, new_gets }
+        PacketInsight { new_gets }
     }
 }
 
@@ -210,36 +210,26 @@ mod tests {
 
     #[test]
     fn server_direction_not_counted() {
-        let mut monitor = TrafficMonitor::new(MonitorConfig::default());
-        let mut writer = RecordWriter::new(RecordCipher::new(1, 2));
-        let wire = writer.seal_message(ContentType::ApplicationData, &vec![0u8; 500]);
-        let syn = ObservedPacket::capture(
-            SimTime::ZERO,
-            Dir::RightToLeft,
-            &TcpSegment {
-                seq: Seq(7),
-                ack: Seq(0),
-                flags: TcpFlags::SYN,
-                window: 0,
-                payload: h2priv_bytes::SharedBytes::new(),
-            },
-        );
-        monitor.observe(&syn);
-        let data = ObservedPacket::capture(
-            SimTime::from_millis(1),
-            Dir::RightToLeft,
-            &TcpSegment {
-                seq: Seq(8),
-                ack: Seq(0),
-                flags: TcpFlags::ACK,
-                window: 0,
-                payload: wire.into(),
-            },
-        );
-        let insight = monitor.observe(&data);
-        assert_eq!(insight.records.len(), 1);
-        assert!(insight.new_gets.is_empty());
+        let mut monitor = TrafficMonitor::new(MonitorConfig {
+            skip_initial: 0,
+            ..MonitorConfig::default()
+        });
+        // A GET-sized application-data record, sent server→client.
+        let mut feed = Feed::new();
+        let mut packets = feed.packets(ContentType::ApplicationData, 500, 1);
+        for p in &mut packets {
+            p.dir = Dir::RightToLeft;
+        }
+        for p in &packets {
+            assert_eq!(monitor.observe(p), PacketInsight::default());
+        }
         assert_eq!(monitor.gets_seen(), 0);
+        // The client→server stream is followed on its own: the same bytes
+        // sent that way count.
+        for p in &mut packets {
+            p.dir = Dir::LeftToRight;
+        }
+        assert_eq!(observe_all(&mut monitor, packets), vec![1]);
     }
 
     #[test]

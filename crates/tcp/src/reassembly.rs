@@ -1,10 +1,10 @@
 //! Receive-side stream reassembly.
 //!
 //! Buffers out-of-order payload keyed by 64-bit stream offset and releases
-//! the longest in-order prefix. The same structure is reused by the
-//! adversary's *passive* monitor (`h2priv-analysis`) to reconstruct the
-//! byte stream it observes on the wire — reassembly is not an endpoint
-//! privilege, which is precisely why TLS record boundaries leak.
+//! the longest in-order prefix to the endpoint, which reads the bytes. The
+//! passive observer (`h2priv-analysis`'s `StreamFollower`) follows the same
+//! stream without this buffer: it needs only record headers, so it borrows
+//! segment bytes instead of copying them.
 
 use std::collections::BTreeMap;
 

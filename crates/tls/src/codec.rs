@@ -8,8 +8,9 @@
 //!
 //! [`RecordScanner`] is the *eavesdropper's* parser: it walks the same byte
 //! stream using only the plaintext headers, yielding content types and
-//! lengths without any key material. The analysis crate builds the paper's
-//! `content_type == 23` filter on top of it.
+//! lengths without any key material and skipping fragment bytes by count.
+//! The analysis crate builds the paper's `content_type == 23` filter on top
+//! of it.
 
 use crate::cipher::RecordCipher;
 use crate::record::{
@@ -423,12 +424,20 @@ pub struct ScannedRecord {
 
 /// Parses record *headers* from a byte stream without any key material —
 /// the passive observer's view.
+///
+/// Only a pending header (at most [`HEADER_LEN`] bytes) is ever held:
+/// fragment bytes are skipped by count, never buffered.
 #[derive(Debug, Clone, Default)]
 pub struct RecordScanner {
-    buf: Vec<u8>,
-    /// Start of unconsumed bytes in `buf` (consumed records advance this
-    /// cursor; the prefix is reclaimed once per `push`, not per record).
-    pos: usize,
+    /// The current record's header bytes seen so far.
+    head: [u8; HEADER_LEN],
+    head_len: usize,
+    /// The current record's header once complete, while its fragment is
+    /// being skipped.
+    current: Option<RecordHeader>,
+    /// Fragment bytes of the current record not yet seen.
+    fragment_left: usize,
+    /// Stream offset of the current record's first byte.
     offset: u64,
     desynced: bool,
 }
@@ -445,38 +454,51 @@ impl RecordScanner {
         self.desynced
     }
 
-    /// Appends observed stream bytes and returns any complete record
-    /// headers they reveal.
-    pub fn push(&mut self, bytes: &[u8]) -> Vec<ScannedRecord> {
-        if self.desynced {
-            return Vec::new();
-        }
-        self.buf.extend_from_slice(bytes);
-        let mut out = Vec::new();
-        loop {
-            let avail = &self.buf[self.pos..];
-            if avail.len() < HEADER_LEN {
-                break;
-            }
-            let Some(header) = RecordHeader::decode(avail) else {
-                self.desynced = true;
-                break;
+    /// Consumes observed stream bytes, calling `emit` for each record they
+    /// complete, in stream order.
+    pub fn scan(&mut self, mut bytes: &[u8], mut emit: impl FnMut(ScannedRecord)) {
+        while !self.desynced {
+            let header = match self.current {
+                Some(header) => header,
+                None => {
+                    let take = (HEADER_LEN - self.head_len).min(bytes.len());
+                    self.head[self.head_len..self.head_len + take].copy_from_slice(&bytes[..take]);
+                    self.head_len += take;
+                    bytes = &bytes[take..];
+                    if self.head_len < HEADER_LEN {
+                        return;
+                    }
+                    let Some(header) = RecordHeader::decode(&self.head) else {
+                        self.desynced = true;
+                        return;
+                    };
+                    self.current = Some(header);
+                    self.fragment_left = header.fragment_len as usize;
+                    header
+                }
             };
-            if avail.len() < header.wire_len() {
-                break;
+            let skip = self.fragment_left.min(bytes.len());
+            self.fragment_left -= skip;
+            bytes = &bytes[skip..];
+            if self.fragment_left > 0 {
+                return;
             }
-            out.push(ScannedRecord {
+            emit(ScannedRecord {
                 content_type: header.content_type,
                 wire_len: header.wire_len(),
                 stream_offset: self.offset,
             });
             self.offset += header.wire_len() as u64;
-            self.pos += header.wire_len();
+            self.current = None;
+            self.head_len = 0;
         }
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
+    }
+
+    /// Consumes observed stream bytes and returns any complete record
+    /// headers they reveal.
+    pub fn push(&mut self, bytes: &[u8]) -> Vec<ScannedRecord> {
+        let mut out = Vec::new();
+        self.scan(bytes, |r| out.push(r));
         out
     }
 }

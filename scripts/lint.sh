@@ -17,6 +17,11 @@ sh scripts/bench_check.sh
 # which gates whole-trial events/sec against BENCH_repro.json.
 cargo bench -q -p h2priv-bench --bench sched -- fig5_mix
 
+# The benchmark's tests (equivalent to `make perfbench-test`): its rebuilt
+# trial must stay the library's `run_paper_trial` + `analyze_trial`, and its
+# counts and digest must not depend on the run or the worker count.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # Cross-layer conformance oracle over a quick full-exhibit run
 # (equivalent to `make check-conformance`): exits nonzero on any TCP/TLS/
 # HTTP/2 invariant violation.
