@@ -6,7 +6,9 @@
 use std::time::Instant;
 
 use h2priv_bench::harness::black_box;
-use h2priv_netsim::{Context, LinkConfig, Node, NodeId, Packet, SimDuration, Simulator};
+use h2priv_netsim::{
+    Context, LinkConfig, Node, NodeId, Packet, SimDuration, SimTime, Simulator, TimerId,
+};
 
 /// Echoes every packet back forever; the run is stopped by event budget.
 struct PingPong {
@@ -22,11 +24,12 @@ impl Node<u64> for PingPong {
     }
 }
 
-/// Like [`PingPong`] but also arms and cancels a timer per packet,
-/// exercising the timer bookkeeping path.
+/// Like [`PingPong`] but also re-arms a 200 ms timer per packet, the way
+/// a TCP sender pushes its RTO out on every ACK, exercising the timer
+/// bookkeeping path.
 struct TimerPingPong {
     peer: NodeId,
-    armed: Option<h2priv_netsim::TimerId>,
+    armed: Option<(TimerId, SimTime)>,
 }
 
 impl Node<u64> for TimerPingPong {
@@ -34,10 +37,8 @@ impl Node<u64> for TimerPingPong {
         ctx.send(Packet::new(ctx.node_id(), self.peer, 100, 0));
     }
     fn on_packet(&mut self, p: Packet<u64>, ctx: &mut Context<'_, u64>) {
-        if let Some(id) = self.armed.take() {
-            ctx.cancel_timer(id);
-        }
-        self.armed = Some(ctx.set_timer(SimDuration::from_millis(200), 1));
+        let rto = ctx.now() + SimDuration::from_millis(200);
+        ctx.rearm(&mut self.armed, Some(rto), 1);
         ctx.send(Packet::new(p.dst, p.src, p.wire_bytes, p.payload + 1));
     }
 }

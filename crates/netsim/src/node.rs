@@ -23,13 +23,15 @@ pub(crate) enum Effect<P> {
     /// Transmit a packet onto the link toward its destination after a delay
     /// (used by gateways to hold packets).
     SendAfter(SimDuration, Packet<P>),
-    /// Arm a timer that fires `at` with the given token.
+    /// Arm timer `id` to fire `at` with the given token; if `id` is
+    /// already armed, move it (see [`Context::rearm`]).
     SetTimer {
         /// Absolute fire time.
         at: SimTime,
         /// Caller-chosen discriminator returned on fire.
         token: u64,
-        /// Unique id for cancellation.
+        /// The timer's id: fresh from [`Context::set_timer`], or the id
+        /// of the armed timer being moved.
         id: TimerId,
     },
     /// Cancel a previously armed timer.
@@ -100,6 +102,46 @@ impl<'a, P> Context<'a, P> {
     /// no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
         self.effects.push(Effect::CancelTimer(id));
+    }
+
+    /// Re-arms the timer tracked by `slot` — `(id, deadline)` of the armed
+    /// timer, or `None` — so that it fires at `want` with `token`, or not
+    /// at all when `want` is `None`, and updates `slot` to match.
+    ///
+    /// Re-arming at the already-armed deadline is a no-op. Otherwise an
+    /// armed timer is *moved*: it keeps its id and fires in exactly the
+    /// `(time, sequence)` order a cancel followed by a fresh
+    /// [`Context::set_timer`] would give it, but the scheduler keeps one
+    /// entry per timer instead of one per re-arm. Use one `token` per
+    /// slot. A `slot` whose timer has fired must be cleared (set to
+    /// `None`) in [`Node::on_timer`]; a move of a fired or cancelled timer
+    /// arms it afresh.
+    pub fn rearm(
+        &mut self,
+        slot: &mut Option<(TimerId, SimTime)>,
+        want: Option<SimTime>,
+        token: u64,
+    ) {
+        match (want, *slot) {
+            (Some(at), Some((_, armed))) if at == armed => {}
+            (Some(at), Some((id, _))) => {
+                self.effects.push(Effect::SetTimer {
+                    at: at.max(self.now),
+                    token,
+                    id,
+                });
+                *slot = Some((id, at));
+            }
+            (Some(at), None) => {
+                let id = self.set_timer(at.saturating_since(self.now), token);
+                *slot = Some((id, at));
+            }
+            (None, Some((id, _))) => {
+                self.cancel_timer(id);
+                *slot = None;
+            }
+            (None, None) => {}
+        }
     }
 
     /// Stops the simulation after the current event completes.

@@ -13,10 +13,16 @@
 //! (each next packet is delivered in-line exactly while it is provably the
 //! global minimum), so a serialized burst costs one queue round-trip
 //! instead of one per packet.
+//!
+//! Timers re-armed with [`Context::rearm`] move in place: a timer keeps one
+//! queue entry however often it is pushed later (a TCP RTO on every ACK),
+//! and still fires at the `(time, sequence)` key a cancel plus a fresh
+//! arm would have given it (see `TimerState`).
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use h2priv_bytes::{FxHashMap, FxHashSet};
+use h2priv_bytes::FxHashMap;
 
 use crate::link::{Link, LinkConfig, LinkDrop, LinkStats};
 use crate::node::{Context, Effect, Node, TimerId};
@@ -43,6 +49,24 @@ enum Ev<P> {
     /// visit drains the link's whole due packet-train.
     LinkHead { link: u32 },
 }
+
+/// Engine-side state of one armed timer.
+///
+/// A timer has exactly one scheduler entry that speaks for it, keyed
+/// `queued`; any other entry carrying its id is stale and is dropped when
+/// it pops. `target` is the key the timer fires at — the `(at, seq)` a
+/// fresh timer armed at the last (re-)arm would carry — and is never
+/// below `queued`: a move to an earlier key queues a new entry, a move to
+/// a later key only updates `target`, and the queued entry re-queues
+/// itself at `target` when it pops.
+#[derive(Debug, Clone, Copy)]
+struct TimerState {
+    target: (SimTime, u64),
+    queued: (SimTime, u64),
+}
+
+/// `TimerState::queued` of a timer that has no entry yet.
+const NOT_QUEUED: (SimTime, u64) = (SimTime::MAX, u64::MAX);
 
 /// One unidirectional link plus its engine-side delivery state.
 struct LinkState<P> {
@@ -77,7 +101,9 @@ pub struct RunSummary {
     pub stop: StopReason,
     /// Simulated time when the run stopped.
     pub end_time: SimTime,
-    /// Number of events processed.
+    /// Number of events processed: packets delivered, transmissions and
+    /// timers fired. A cancelled timer's leftover entry, or an entry that
+    /// re-queues a timer moved later, is not an event.
     pub events: u64,
 }
 
@@ -137,10 +163,10 @@ pub struct Simulator<P> {
     /// table keeps the per-transmit lookup to one indexed load instead of
     /// a hash probe. Invalidated (cleared / resized) on topology change.
     route_cache: Vec<Option<Option<(usize, u32)>>>,
-    /// Timers scheduled but not yet fired or cancelled. An id is removed
-    /// when its event pops (fired or skipped-as-cancelled), so the set is
-    /// bounded by the number of live timers.
-    pending_timers: FxHashSet<u64>,
+    /// Timers armed but not yet fired or cancelled, by id. An id is
+    /// removed when it fires or is cancelled, so the map is bounded by the
+    /// number of live timers.
+    timers: FxHashMap<u64, TimerState>,
     /// Scratch effects buffer reused across event dispatches.
     scratch: Vec<Effect<P>>,
     rng: SimRng,
@@ -165,7 +191,7 @@ impl<P: 'static> Simulator<P> {
             link_states: Vec::new(),
             adjacency: Vec::new(),
             route_cache: Vec::new(),
-            pending_timers: FxHashSet::default(),
+            timers: FxHashMap::default(),
             scratch: Vec::new(),
             rng: SimRng::seed_from(seed),
             timer_seq: 0,
@@ -295,7 +321,13 @@ impl<P: 'static> Simulator<P> {
     /// Number of timers currently armed (scheduled, neither fired nor
     /// cancelled). Bounded bookkeeping: fired and cancelled ids are purged.
     pub fn live_timers(&self) -> usize {
-        self.pending_timers.len()
+        self.timers.len()
+    }
+
+    /// Number of entries in the event queue, including stale timer
+    /// entries not yet popped.
+    pub fn queued_events(&self) -> usize {
+        self.queue.len()
     }
 
     /// Current simulated time.
@@ -334,20 +366,32 @@ impl<P: 'static> Simulator<P> {
             if head_at > deadline {
                 return self.summary(StopReason::DeadlineReached);
             }
-            let (at, _seq, ev) = self.queue.pop().expect("peeked entry must pop");
+            let (at, seq, ev) = self.queue.pop().expect("peeked entry must pop");
+            if let Ev::Timer { id, .. } = ev {
+                // Only a timer's queued entry speaks for it, and it fires
+                // only at its target key: neither a stale entry nor a
+                // re-queue is an event.
+                let Entry::Occupied(timer) = self.timers.entry(id.0) else {
+                    continue; // fired or cancelled
+                };
+                let TimerState { target, queued } = *timer.get();
+                if queued != (at, seq) {
+                    continue; // superseded by a move to an earlier key
+                }
+                if target != queued {
+                    // Moved later since this entry was queued.
+                    timer.into_mut().queued = target;
+                    self.queue.push(target.0, target.1, ev);
+                    continue;
+                }
+                timer.remove();
+            }
             debug_assert!(at >= self.now, "time went backwards");
             self.now = at;
             self.events_processed += 1;
             match ev {
                 Ev::Deliver { to, packet } => self.dispatch_packet(to, packet),
-                Ev::Timer { node, token, id } => {
-                    // A timer fires only while still pending; removing the
-                    // id here keeps the set bounded by live timers.
-                    if !self.pending_timers.remove(&id.0) {
-                        continue;
-                    }
-                    self.dispatch_timer(node, token);
-                }
+                Ev::Timer { node, token, .. } => self.dispatch_timer(node, token),
                 Ev::Transmit { from, packet } => self.transmit(from, packet),
                 Ev::LinkHead { link } => self.deliver_link_head(link, deadline),
             }
@@ -388,7 +432,8 @@ impl<P: 'static> Simulator<P> {
                 self.events_processed += 1;
             } else {
                 // Suspend the batch: re-key the single LinkHead entry at the
-                // next packet's own (arrival, seq) — no new seq consumed.
+                // next packet's own (arrival, seq) — no new seq consumed. A
+                // stale timer entry at the minimum only suspends it early.
                 self.queue.push(next_at, next_seq, Ev::LinkHead { link });
                 return;
             }
@@ -473,13 +518,26 @@ impl<P: 'static> Simulator<P> {
                     self.schedule(at, Ev::Transmit { from: node, packet });
                 }
                 Effect::SetTimer { at, token, id } => {
-                    self.pending_timers.insert(id.0);
-                    self.schedule(at, Ev::Timer { node, token, id });
+                    // Arming and moving consume one seq here, exactly as a
+                    // cancel + fresh arm would, so the timer fires at the
+                    // same `(at, seq)` either way; only a move to an
+                    // earlier key needs a new entry.
+                    let target = (at, self.seq);
+                    self.seq += 1;
+                    let timer = self.timers.entry(id.0).or_insert(TimerState {
+                        target,
+                        queued: NOT_QUEUED,
+                    });
+                    timer.target = target;
+                    if target < timer.queued {
+                        timer.queued = target;
+                        self.queue.push(at, target.1, Ev::Timer { node, token, id });
+                    }
                 }
                 Effect::CancelTimer(id) => {
-                    // Already-fired or unknown ids are no-ops, so the set
-                    // never accumulates dead entries.
-                    self.pending_timers.remove(&id.0);
+                    // Already-fired or unknown ids are no-ops. The queued
+                    // entry stays behind and is dropped when it pops.
+                    self.timers.remove(&id.0);
                 }
                 Effect::Halt => {
                     self.halted = true;

@@ -54,7 +54,7 @@ use h2priv_web::{
     Website, WorkerPool,
 };
 
-use crate::host::{App, BufPool, HostCore, HostOracle, PumpScratch};
+use crate::host::{earlier, App, BufPool, HostCore, HostOracle, PumpScratch};
 use crate::scenario::ScenarioConfig;
 use crate::tap::WireTap;
 
@@ -621,10 +621,7 @@ impl HostArena {
             let next = if core.dead {
                 None
             } else {
-                match (core.tcp.poll_timeout(), core.app_wakeup()) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
+                earlier(core.tcp.poll_timeout(), core.app_wakeup())
             };
             if let Some(at) = next {
                 self.arm_slot_deadline(idx, at);
@@ -745,21 +742,7 @@ impl HostArena {
 
     fn rearm_due(&mut self, ctx: &mut Context<'_, FleetSegment>) {
         let target = self.due.peek().map(|(at, _)| *at);
-        match (target, self.due_timer) {
-            (Some(at), Some((_, armed))) if at == armed => {}
-            (Some(at), prev) => {
-                if let Some((id, _)) = prev {
-                    ctx.cancel_timer(id);
-                }
-                let id = ctx.set_timer(at.saturating_since(ctx.now()), TOKEN_DUE);
-                self.due_timer = Some((id, at));
-            }
-            (None, Some((id, _))) => {
-                ctx.cancel_timer(id);
-                self.due_timer = None;
-            }
-            (None, None) => {}
-        }
+        ctx.rearm(&mut self.due_timer, target, TOKEN_DUE);
     }
 
     fn on_start(&mut self, ctx: &mut Context<'_, FleetSegment>) {

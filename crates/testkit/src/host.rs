@@ -407,22 +407,24 @@ impl HostCore {
     /// schedule folds in here so an otherwise-idle host still wakes to
     /// seal dummy records.
     pub(crate) fn app_wakeup(&self) -> Option<SimTime> {
-        let app = match &self.app {
+        let mut at = match &self.app {
             App::Client(b) => b.next_wakeup(),
             App::Server(s) => s.next_wakeup(),
             App::Attacker(a) => a.next_wakeup(),
         };
-        let pad = self.shaper.as_ref().and_then(|s| s.shaper.next_wakeup());
+        // Attachments are usually absent, so test presence before polling.
         // Guard and detector deadlines wake an otherwise-idle server: the
         // attacks they watch for are precisely the ones that go quiet.
-        let dos = [
-            self.guard.as_ref().and_then(|g| g.next_wakeup()),
-            self.detector.as_ref().and_then(|d| d.next_wakeup()),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        [app, pad, dos].into_iter().flatten().min()
+        if let Some(s) = &self.shaper {
+            at = earlier(at, s.shaper.next_wakeup());
+        }
+        if let Some(g) = &self.guard {
+            at = earlier(at, g.next_wakeup());
+        }
+        if let Some(d) = &self.detector {
+            at = earlier(at, d.next_wakeup());
+        }
+        at
     }
 
     /// Returns every idle buffer across the stack to `pool` — the TCP send
@@ -456,40 +458,20 @@ impl HostCore {
     }
 }
 
+/// The earlier of two optional deadlines, where `None` means no deadline.
+pub(crate) fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(x), Some(y)) => Some(x.min(y)),
+        (x, y) => x.or(y),
+    }
+}
+
 /// The netsim node wrapping a [`HostCore`].
 pub struct Host {
     core: Rc<RefCell<HostCore>>,
     scratch: PumpScratch,
     tcp_timer: Option<(TimerId, SimTime)>,
     app_timer: Option<(TimerId, SimTime)>,
-}
-
-/// Re-arms one of the host's two deadline timers, skipping the
-/// cancel+set round trip through the scheduler when the armed deadline
-/// is already the wanted one — between most pump pairs the app wakeup
-/// (and often the TCP timeout) is unchanged, and the scheduler churn of
-/// re-inserting it every pump shows up in profiles.
-fn rearm(
-    ctx: &mut Context<'_, TcpSegment>,
-    slot: &mut Option<(TimerId, SimTime)>,
-    want: Option<SimTime>,
-    token: u64,
-) {
-    match (want, *slot) {
-        (Some(at), Some((_, armed))) if at == armed => {}
-        (Some(at), prev) => {
-            if let Some((id, _)) = prev {
-                ctx.cancel_timer(id);
-            }
-            let id = ctx.set_timer(at.saturating_since(ctx.now()), token);
-            *slot = Some((id, at));
-        }
-        (None, Some((id, _))) => {
-            ctx.cancel_timer(id);
-            *slot = None;
-        }
-        (None, None) => {}
-    }
 }
 
 impl std::fmt::Debug for Host {
@@ -583,8 +565,8 @@ impl Host {
         } else {
             (core.tcp.poll_timeout(), core.app_wakeup())
         };
-        rearm(ctx, &mut self.tcp_timer, tcp_at, TOKEN_TCP);
-        rearm(ctx, &mut self.app_timer, app_at, TOKEN_APP);
+        ctx.rearm(&mut self.tcp_timer, tcp_at, TOKEN_TCP);
+        ctx.rearm(&mut self.app_timer, app_at, TOKEN_APP);
     }
 }
 
@@ -604,7 +586,7 @@ impl Node<TcpSegment> for Host {
 
     fn on_timer(&mut self, token: u64, ctx: &mut Context<'_, TcpSegment>) {
         // The fired timer no longer exists in the scheduler: forget it so
-        // `rearm` can't skip re-setting (or cancel) its stale id.
+        // `rearm` can't skip re-arming (or cancel) its stale id.
         if token == TOKEN_TCP {
             self.tcp_timer = None;
             self.core.borrow_mut().tcp.on_tick(ctx.now());
@@ -1078,5 +1060,32 @@ impl HostCore {
             }
         }
         progressed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn earlier_fold_is_the_minimum_over_every_presence_combination() {
+        // Each of app, shaper, guard and detector is absent or has one of
+        // two deadlines, folded in `app_wakeup`'s order.
+        let choices = [
+            None,
+            Some(SimTime::from_millis(5)),
+            Some(SimTime::from_millis(3)),
+        ];
+        for a in choices {
+            for b in choices {
+                for c in choices {
+                    for d in choices {
+                        let folded = earlier(earlier(earlier(a, b), c), d);
+                        let min = [a, b, c, d].into_iter().flatten().min();
+                        assert_eq!(folded, min, "{a:?} {b:?} {c:?} {d:?}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 
+# The whole workspace's tests, the real gate (~3 min): the timer
+# differential, the scheduler differentials and the end-to-end determinism
+# tests run on every lint, not only the root package's.
+cargo test --workspace --release -q
+
 sh scripts/bench_check.sh
 
 # Scheduler microbench smoke run (`make bench-sched` in full): proves the
